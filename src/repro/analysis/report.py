@@ -6,7 +6,8 @@ the paper-shaped artifacts.  All experiments flow through one shared
 :class:`repro.experiments.Runner`, so runs common to several artifacts
 simulate once, grid members execute in parallel worker processes, and
 (with ``--cache-dir``) a re-invocation is served from the on-disk
-cache.
+store.  ``--stream`` serves Figure 4 through the same Runner's
+service, so the whole report shares one memo and one stats line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.analysis.table2 import (
 from repro.core.notation import FIGURE6_CONFIGS, config_name, parse_config
 from repro.experiments import Runner, default_runner
 from repro.obs.emit import ReportEmitter
-from repro.service import ExperimentService, store_from_env
+from repro.service import store_from_env
 from repro.systems import SYSTEM_REGISTRY
 
 
@@ -49,16 +50,16 @@ def full_report(workloads: Optional[Sequence[str]] = None,
                 scale: Optional[float] = None,
                 rt_scale: float = 0.15,
                 runner: Optional[Runner] = None,
-                service: Optional[ExperimentService] = None,
+                streaming: bool = False,
                 stream=None,
                 emitter: Optional[ReportEmitter] = None,
                 smoke: bool = False) -> None:
     """Regenerate every artifact.
 
-    With ``service`` the Figure 4 grid flows through the streaming job
-    API -- partial results print as runs finish -- and the report ends
-    with the content-addressed store's hit-rate line.  ``runner`` and
-    ``service`` should share one store so artifacts warm each other.
+    With ``streaming`` the Figure 4 grid flows through the streaming job
+    API of ``runner.service`` -- partial results print as runs finish;
+    the memo, store, and stats stay the runner's own.  With a store,
+    the report ends with its hit-rate line.
 
     Output flows through a :class:`~repro.obs.emit.ReportEmitter`
     (built from ``stream`` when not passed), so every line carries the
@@ -82,7 +83,7 @@ def full_report(workloads: Optional[Sequence[str]] = None,
     emit("=" * 70, kind="header")
 
     out.section("Figure 4: speedup vs 1P (MISP 1x8 vs SMP 8-way)")
-    if service is not None:
+    if streaming:
         def progress(done: int, total: int, summary) -> None:
             emit(f"  [{done}/{total}] {summary.workload}/{summary.system}:"
                  f"{summary.config} -> {summary.cycles:,} cycles",
@@ -90,8 +91,9 @@ def full_report(workloads: Optional[Sequence[str]] = None,
                  workload=summary.workload, system=summary.system,
                  config=summary.config, cycles=summary.cycles)
 
-        fig4 = run_figure4_streaming(service, names, scale=scale,
+        fig4 = run_figure4_streaming(runner.service, names, scale=scale,
                                      progress=progress)
+        runner.service.close()   # release the pool, as Runner calls do
     else:
         fig4 = run_figure4(names, scale=scale, runner=runner)
     emit(format_figure4(fig4), kind="artifact", artifact="figure4")
@@ -132,13 +134,10 @@ def full_report(workloads: Optional[Sequence[str]] = None,
 
     emit(f"\n[report completed in {time.time() - t0:.1f}s; "
          f"runs: {runner.stats}]", kind="stats")
-    if service is not None:
-        emit(f"[service: {service.stats}]", kind="stats")
-    store = service.store if service is not None else runner.store
-    if store is not None:
+    if runner.store is not None:
         # the ROADMAP's serving target: a figure request should be
         # almost entirely store hits -- report the measured rate
-        emit(f"[{store.stats}]", kind="stats")
+        emit(f"[{runner.store.stats}]", kind="stats")
 
 
 def _observed_timeline(names: Sequence[str], scale: Optional[float],
@@ -251,9 +250,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="capture once per sweep and replay the "
                              "timing-only points (trace-driven fast path)")
     parser.add_argument("--stream", action="store_true",
-                        help="serve Figure 4 through the ExperimentService "
-                             "job API (partial results stream as runs "
-                             "finish; prints the store hit-rate line)")
+                        help="serve Figure 4 through the runner's "
+                             "ExperimentService job API (partial results "
+                             "stream as runs finish; prints the store "
+                             "hit-rate line)")
     parser.add_argument("--smoke", action="store_true",
                         help="fast end-to-end slice: Figure 4 grid only, "
                              "small default scale (CI's observability run)")
@@ -314,22 +314,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scale = 0.05
 
     emitter = ReportEmitter(structured=args.structured)
-    service = None
     store = None
     if args.stream:
         import tempfile
         store_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-store-")
         store = store_from_env(store_dir, instance=emitter.run_id)
-        service = ExperimentService(store=store, max_workers=args.jobs,
-                                    parallel=not args.serial,
-                                    replay=args.replay,
-                                    instance=emitter.run_id)
     runner = Runner(cache_dir=None if store else args.cache_dir,
                     store=store, max_workers=args.jobs,
                     parallel=not args.serial, replay=args.replay,
                     instance=emitter.run_id)
     full_report(names, scale, args.rt_scale, runner=runner,
-                service=service, emitter=emitter, smoke=args.smoke)
+                streaming=args.stream, emitter=emitter, smoke=args.smoke)
     if args.analyze or args.analyze_out:
         from repro.obs.critpath import format_analysis
         emitter.section("Bottleneck attribution (critical path & stalls)")
@@ -364,8 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.metrics:
             emitter.emit(get_registry().render_prometheus(),
                          kind="metrics", families=len(snapshot))
-    if service is not None:
-        service.close()
     return 0
 
 

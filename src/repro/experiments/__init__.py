@@ -7,7 +7,8 @@ The subsystem separates *what to simulate* from *how it executes*:
   params x scale) as content-hashable plain data;
 * :class:`ExperimentSpec` -- a named grid of RunSpecs (a figure);
 * :class:`Runner` -- executes grids with shared-run deduplication,
-  process-pool parallelism, and an on-disk result cache;
+  process-pool parallelism, and an on-disk result store (a
+  synchronous call into :class:`repro.service.ExperimentService`);
 * :class:`RunSummary` -- the plain-data, picklable result that crosses
   process boundaries (the live :class:`~repro.workloads.runner.RunResult`
   stays in-process).
@@ -29,11 +30,9 @@ Quick start::
         print(summary.workload, summary.system, summary.cycles)
 """
 
-from repro.experiments.cache import CACHE_VERSION, ResultCache
 from repro.experiments.runner import (
-    ExperimentResult, Runner, RunnerStats, default_runner, execute,
-    execute_captured, execute_replay_group, replay_class,
-    runner_from_env, set_default_runner,
+    ExperimentResult, Runner, default_runner, runner_from_env,
+    set_default_runner,
 )
 from repro.experiments.spec import (
     DEFAULT_CONFIGS, FIGURE7_SEQUENCERS, SYSTEMS, ExperimentSpec, RunSpec,
@@ -44,9 +43,7 @@ from repro.experiments.summary import (
 )
 
 __all__ = [
-    "CACHE_VERSION", "ResultCache", "ExperimentResult", "Runner",
-    "RunnerStats", "default_runner", "execute", "execute_captured",
-    "execute_replay_group", "replay_class", "runner_from_env",
+    "ExperimentResult", "Runner", "default_runner", "runner_from_env",
     "set_default_runner",
     "DEFAULT_CONFIGS", "FIGURE7_SEQUENCERS", "SYSTEMS", "ExperimentSpec",
     "RunSpec", "EVENT_KEYS", "MemorySummary", "ProxySummary", "RunSummary",

@@ -3,36 +3,20 @@
 :func:`execute` is the single entry point that maps a spec to a
 finished summary; it is a module-level function so
 ``ProcessPoolExecutor`` can ship it to workers.  The layer never
-decides *what* to run together -- a
-:class:`~repro.service.planner.ExecutionPlanner` hands it task groups
-(singletons, or capture-plus-replay classes) and it runs them.
-
-Two executors share those entry points:
-
-* :class:`BatchExecutor` -- the terminal layer of a
-  :class:`~repro.service.resolver.ResolverChain`; runs one batch to
-  completion with a per-batch process pool (batches run for seconds to
-  minutes, so spawn cost is noise, and a long-lived Runner never holds
-  idle worker processes between experiments).  All failures are
-  collected -- one failing simulation neither discards the rest of the
-  batch nor shadows the other failures.
-* :class:`ExecutionBackend` -- the shared, future-based pool an
-  :class:`~repro.service.service.ExperimentService` keeps alive across
-  jobs, so many concurrent clients draw from one set of workers.
+decides *what* to run together -- :func:`~repro.service.planner.plan`
+hands it task groups (singletons, or capture-plus-replay classes) and
+:class:`ExecutionBackend` runs them, inline or in its process pool.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    Future, ProcessPoolExecutor, as_completed,
-)
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import repro.workloads  # noqa: F401  -- populates the workload registry
-from repro.service.planner import ExecutionPlanner
 from repro.sim.captrace import ReplayMachine
 from repro.systems import Session, get_system
 from repro.workloads.base import REGISTRY
@@ -100,100 +84,18 @@ def run_group(group: Sequence["RunSpec"]) -> list["RunSummary"]:
     return [execute(group[0])]
 
 
-@dataclass
-class ExecutionOutcome:
-    """Counters from one executor pass."""
-
-    #: execution-driven simulations (each replay group executes exactly
-    #: one capture; its replayed members count in ``replayed``)
-    executed: int = 0
-    #: executed runs that also recorded a replayable trace
-    captured: int = 0
-    #: summaries produced by trace replay instead of execution
-    replayed: int = 0
-    #: specs whose simulation raised (a failed replay group counts
-    #: every member)
-    failed: int = 0
-    failures: list[tuple["RunSpec", BaseException]] = field(
-        default_factory=list)
-
-
-class BatchExecutor:
-    """Terminal resolver layer: plan a batch, run it, keep everything.
-
-    ``resolve(specs)`` returns the summaries of every spec that ran to
-    completion as hits and the failed specs as misses; the exceptions
-    themselves land in :attr:`failures` (and :attr:`last`), so the
-    caller can surface *all* of them instead of just the first.
-    """
-
-    name = "executor"
-
-    def __init__(self, planner: ExecutionPlanner,
-                 max_workers: Optional[int] = None,
-                 parallel: bool = True,
-                 run_group_fn: Optional[Callable] = None) -> None:
-        self.planner = planner
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self.parallel = parallel and self.max_workers > 1
-        self._run_group = run_group_fn or run_group
-        self.failures: list[tuple["RunSpec", BaseException]] = []
-        self.last = ExecutionOutcome()
-
-    def resolve(self, specs: Sequence["RunSpec"]
-                ) -> tuple[dict[str, "RunSummary"], list["RunSpec"]]:
-        outcome = ExecutionOutcome()
-        hits: dict[str, "RunSummary"] = {}
-        if specs:
-            tasks = self.planner.plan(specs)
-            if self.parallel and len(tasks) > 1:
-                self._resolve_parallel(tasks, hits, outcome)
-            else:
-                for group in tasks:
-                    self._finish(group, hits, outcome)
-        self.last = outcome
-        self.failures = outcome.failures
-        misses = [spec for spec, _ in outcome.failures]
-        return hits, misses
-
-    def store(self, spec: "RunSpec", summary: "RunSummary") -> None:
-        """Terminal layer: nothing below to backfill."""
-
-    # ------------------------------------------------------------------
-    def _resolve_parallel(self, tasks, hits, outcome) -> None:
-        workers = min(self.max_workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(self._run_group, group): group
-                       for group in tasks}
-            for future in as_completed(futures):
-                self._finish(futures[future], hits, outcome,
-                             lambda f=future: f.result())
-
-    def _finish(self, group, hits, outcome,
-                result_fn: Optional[Callable] = None) -> None:
-        try:
-            summaries = (result_fn() if result_fn
-                         else self._run_group(group))
-        except Exception as exc:
-            outcome.failed += len(group)
-            outcome.failures.extend((spec, exc) for spec in group)
-            return
-        for spec, summary in zip(group, summaries):
-            hits[spec.spec_hash()] = summary
-        outcome.executed += 1      # group[0] always executes
-        if len(group) > 1:
-            outcome.captured += 1
-            outcome.replayed += len(group) - 1
-
-
 class ExecutionBackend:
-    """A shared worker pool turning planned groups into futures.
+    """Runs planned groups: inline, or in a process pool.
 
-    Unlike :class:`BatchExecutor`'s per-batch pool, this pool persists
-    across jobs: an :class:`ExperimentService` serves every client
-    from one set of workers.  With ``parallel=False`` groups run
-    inline on the calling thread (deterministic, picklability-free),
-    returning already-completed futures.
+    A batch uses the pool only when the backend is parallel and the
+    batch has more than one group, so a single-spec request never
+    spawns workers.  The pool is sized to the batch (at most
+    ``max_workers``; a larger batch replaces it with a larger one) and
+    persists across batches -- an :class:`ExperimentService`'s
+    concurrent jobs draw from one set of workers -- until
+    :meth:`close` releases it.  Inline groups run on the calling
+    thread (deterministic, picklability-free, and registry-local
+    backends/timing models stay visible).
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -201,30 +103,40 @@ class ExecutionBackend:
                  run_group_fn: Optional[Callable] = None) -> None:
         self.max_workers = max_workers or os.cpu_count() or 1
         self.parallel = parallel and self.max_workers > 1
-        self._run_group = run_group_fn or run_group
+        self.run_group = run_group_fn or run_group
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_size = 0
         self._lock = threading.Lock()
 
-    def submit_group(self, group: Sequence["RunSpec"]
-                     ) -> "Future[list[RunSummary]]":
-        if self.parallel:
-            return self._ensure_pool().submit(self._run_group, group)
-        future: Future = Future()
-        try:
-            future.set_result(self._run_group(group))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+    def run(self, groups: Sequence[Sequence["RunSpec"]],
+            settle: Callable[[Sequence["RunSpec"], Callable], None]) -> None:
+        """Run every group; ``settle(group, result)`` is called as each
+        finishes, where ``result()`` returns the group's summaries or
+        raises its failure."""
+        if not self.parallel or len(groups) < 2:
+            for group in groups:
+                settle(group, partial(self.run_group, group))
+            return
+        futures = self._submit(groups)
+        for future in as_completed(futures):
+            settle(futures[future], future.result)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _submit(self, groups: Sequence[Sequence["RunSpec"]]
+                ) -> dict[Future, Sequence["RunSpec"]]:
+        workers = min(self.max_workers, len(groups))
         with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers)
-            return self._pool
+            if self._pool_size < workers:
+                if self._pool is not None:
+                    self._pool.shutdown(wait=False)   # its groups finish
+                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._pool_size = workers
+            return {self._pool.submit(self.run_group, group): group
+                    for group in groups}
 
     def close(self) -> None:
+        """Shut the pool down (running groups finish first); the next
+        parallel batch starts a new one."""
         with self._lock:
-            pool, self._pool = self._pool, None
+            pool, self._pool, self._pool_size = self._pool, None, 0
         if pool is not None:
             pool.shutdown(wait=True)

@@ -1,23 +1,20 @@
 """Execution planning: how a batch of specs becomes pool tasks.
 
 Planning is *policy*; running tasks is *mechanism*.  Keeping the two
-apart is what lets the executor layer stay dumb: a planner partitions
+apart is what lets the executor stay dumb: :func:`plan` partitions
 unique specs into task groups, and the executor runs each group
 without knowing (or caring) why the groups look the way they do.
-
-* :class:`DirectPlanner` -- every spec is its own singleton task
-  (execution-driven, maximally parallel);
-* :class:`ReplayPlanner` -- specs differing only in replay-safe timing
-  parameters (see :data:`repro.sim.captrace.REPLAY_SAFE_FIELDS`) form
-  one *replay class* per group: the first member executes with trace
-  capture, the rest are cheap trace replays.  Specs whose backend or
-  timing model cannot capture stay singleton execution-driven tasks.
+Without replay every spec is its own singleton task (execution-driven,
+maximally parallel); with replay, specs differing only in replay-safe
+timing parameters (see :data:`repro.sim.captrace.REPLAY_SAFE_FIELDS`)
+form one *replay class* per group: the first member executes with
+trace capture, the rest are cheap trace replays.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.sim.captrace import REPLAY_SAFE_FIELDS
 from repro.systems import get_system
@@ -46,42 +43,25 @@ def replay_class(spec: "RunSpec") -> Optional[str]:
     return json.dumps(ident, sort_keys=True)
 
 
-class ExecutionPlanner(Protocol):
-    """Partitions a batch of unique specs into executor task groups."""
+def plan(specs: Sequence["RunSpec"],
+         replay: bool = False) -> list[list["RunSpec"]]:
+    """Partition unique specs into executor task groups.
 
-    def plan(self, specs: Sequence["RunSpec"]) -> list[list["RunSpec"]]:
-        ...
-
-
-class DirectPlanner:
-    """Every spec is one execution-driven task."""
-
-    def plan(self, specs: Sequence["RunSpec"]) -> list[list["RunSpec"]]:
-        return [[spec] for spec in specs]
-
-
-class ReplayPlanner:
-    """Group replay-compatible specs onto one shared capture.
-
-    Specs in the same replay class become one multi-spec task (capture
-    the first, replay the rest); classes of one -- and specs whose
-    backend or timing model cannot capture -- stay singleton
-    execution-driven tasks.
+    With ``replay``, specs in the same replay class become one
+    multi-spec task whose first member (in request order) is captured
+    and the rest replayed; classes of one -- and specs whose backend
+    or timing model cannot capture -- stay singleton execution-driven
+    tasks, as every spec does without ``replay``.
     """
-
-    def plan(self, specs: Sequence["RunSpec"]) -> list[list["RunSpec"]]:
-        groups: dict[str, list["RunSpec"]] = {}
-        tasks: list[list["RunSpec"]] = []
-        for spec in specs:
-            key = replay_class(spec)
-            if key is None:
-                tasks.append([spec])
-            else:
-                groups.setdefault(key, []).append(spec)
-        tasks.extend(groups.values())
-        return tasks
-
-
-def planner_for(replay: bool) -> ExecutionPlanner:
-    """The planner matching a runner/service's replay mode."""
-    return ReplayPlanner() if replay else DirectPlanner()
+    if not replay:
+        return [[spec] for spec in specs]
+    groups: dict[str, list["RunSpec"]] = {}
+    tasks: list[list["RunSpec"]] = []
+    for spec in specs:
+        key = replay_class(spec)
+        if key is None:
+            tasks.append([spec])
+        else:
+            groups.setdefault(key, []).append(spec)
+    tasks.extend(groups.values())
+    return tasks

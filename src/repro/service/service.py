@@ -1,4 +1,4 @@
-"""The experiment service: a job API over the layered resolvers.
+"""The experiment service: the one resolution pipeline.
 
 :class:`ExperimentService` is the serving-system face of the
 experiment layer.  Many concurrent clients ``submit()`` experiment
@@ -6,7 +6,7 @@ grids and get back :class:`JobHandle`\\ s; each job resolves through
 the shared layers -- in-process memo, content-addressed
 :class:`~repro.service.store.ResultStore`, cross-request
 :class:`~repro.service.inflight.InflightTable`, and one shared
-execution backend -- so
+:class:`~repro.service.executor.ExecutionBackend` -- so
 
 * a figure request repeated by N clients costs one execution;
 * two different grids sharing a baseline run share its simulation
@@ -17,13 +17,16 @@ execution backend -- so
 
 Resolution order per job::
 
-    memo  ->  store  ->  inflight table  ->  executor
-    (hits)    (hits)     (join a run        (claim + run,
-                          already in         resolve joiners)
+    memo  ->  store  ->  inflight table  ->  plan  ->  execute
+    (hits)    (hits)     (join a run        (replay     (claim + run,
+                          already in         classes)    resolve joiners)
                           the air)
 
 Everything an executed run produces is backfilled upward (store and
 memo), so the next request short-circuits as early as possible.
+:meth:`ExperimentService.run_experiment` runs the same pipeline
+synchronously on the calling thread; :class:`repro.experiments.Runner`
+is that call.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from repro.obs.metrics import (
 from repro.obs.spans import SpanTracer
 from repro.service.executor import ExecutionBackend
 from repro.service.inflight import InflightTable
-from repro.service.planner import planner_for
-from repro.service.resolver import MemoLayer, StoreLayer
+from repro.service.planner import plan
 from repro.service.store import (
     ResultStore, StoreStatsSnapshot, store_from_env,
 )
@@ -60,7 +62,8 @@ _service_ids = itertools.count()
 
 
 class ServiceStats(StatsView):
-    """Where the service's runs came from, across all jobs.
+    """Where the service's runs came from, across all jobs (a
+    :class:`~repro.experiments.Runner`'s ``stats`` is its service's).
 
     A view over ``repro_service_events_total{service=...,event=...}``
     in the metrics registry (see :class:`repro.obs.metrics.StatsView`).
@@ -69,7 +72,11 @@ class ServiceStats(StatsView):
     #: requested -- grid members submitted; deduplicated -- duplicate
     #: members within submitted grids; inflight_joined -- specs folded
     #: onto an execution another job already had in flight; executed --
-    #: execution-driven simulations (replay-group captures included)
+    #: execution-driven simulations (each replay class executes exactly
+    #: one capture; its trace-driven members count in ``replayed``, so
+    #: ``executed + replayed`` is the number of summaries produced);
+    #: failed -- specs whose simulation raised (a failed replay class
+    #: counts every member)
     FIELDS = ("requested", "deduplicated", "memo_hits", "store_hits",
               "inflight_joined", "executed", "captured", "replayed",
               "failed", "jobs")
@@ -90,12 +97,15 @@ class ServiceStats(StatsView):
                           for field in self.FIELDS})
 
     def __str__(self) -> str:
+        extra = (f" ({self.captured} captured, {self.replayed} replayed)"
+                 if self.captured or self.replayed else "")
+        if self.failed:
+            extra += f" [{self.failed} failed]"
         return (f"{self.jobs} jobs / {self.requested} requested = "
                 f"{self.executed + self.replayed} executed "
                 f"+ {self.deduplicated} deduplicated "
                 f"+ {self.memo_hits} memoized + {self.store_hits} stored "
-                f"+ {self.inflight_joined} joined in-flight"
-                + (f" ({self.failed} failed)" if self.failed else ""))
+                f"+ {self.inflight_joined} joined in-flight{extra}")
 
 
 class JobHandle:
@@ -250,10 +260,10 @@ class ExperimentService:
 
     One service owns one memo, one (optional) content-addressed store,
     one in-flight table, and one execution backend; every job submitted
-    to it shares all four.  ``parallel=False`` executes in the
-    submitting job's worker thread (deterministic, and registry-local
-    backends/timing models stay visible); otherwise groups run in a
-    persistent shared process pool.
+    to it shares all four.  ``parallel=False`` executes inline on the
+    resolving thread (deterministic, and registry-local
+    backends/timing models stay visible); otherwise a batch of more
+    than one group runs in the backend's shared process pool.
     """
 
     def __init__(self,
@@ -272,11 +282,7 @@ class ExperimentService:
                                 instance=instance)
         self.store: Optional[ResultStore] = store
         self.replay = replay
-        self.memo = MemoLayer()
-        self.store_layer = (StoreLayer(store, replay=replay)
-                            if store is not None else None)
         self.inflight = InflightTable(registry=registry, instance=instance)
-        self.planner = planner_for(replay)
         self.backend = ExecutionBackend(max_workers=max_workers,
                                         parallel=parallel,
                                         run_group_fn=run_group_fn)
@@ -285,6 +291,9 @@ class ExperimentService:
         self.tracer = tracer or SpanTracer()
         self.stats = ServiceStats(registry=registry, instance=instance)
         self._stats_lock = threading.Lock()
+        #: the in-process memo: spec hash -> summary, shared by all jobs
+        self._memo: dict[str, "RunSummary"] = {}
+        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -293,33 +302,21 @@ class ExperimentService:
                                        Iterable["RunSpec"]]) -> JobHandle:
         """Accept a grid; resolution starts immediately in the
         background.  Returns the job's :class:`JobHandle`."""
-        from repro.experiments.spec import ExperimentSpec
-
-        if not isinstance(experiment, ExperimentSpec):
-            experiment = ExperimentSpec("adhoc", tuple(experiment))
-        unique: dict[str, "RunSpec"] = {}
-        for spec in experiment.runs:
-            unique.setdefault(spec.spec_hash(), spec)
-        job = JobHandle(experiment, expected=len(unique))
-        with self._phase(job, "submit"):
-            with self._stats_lock:
-                self.stats.jobs += 1
-                self.stats.requested += len(experiment.runs)
-                self.stats.deduplicated += len(experiment.runs) - len(unique)
-            worker = threading.Thread(target=self._run_job,
-                                      args=(job, unique),
-                                      name=f"repro-{job.job_id}",
-                                      daemon=True)
-            worker.start()
-        return job
+        return self._accept(experiment, background=True)
 
     def run_experiment(self,
                        experiment: Union["ExperimentSpec",
                                          Iterable["RunSpec"]],
                        timeout: Optional[float] = None
                        ) -> "ExperimentResult":
-        """Synchronous convenience: ``submit(...).result(...)``."""
-        return self.submit(experiment).result(timeout)
+        """Resolve a grid synchronously, on the calling thread.
+
+        The same pipeline as :meth:`submit`; ``timeout`` bounds only
+        the wait for runs another job already had in flight.  Raises
+        :class:`~repro.errors.ExperimentExecutionError` naming every
+        failed spec.
+        """
+        return self._accept(experiment, background=False).result(timeout)
 
     def store_stats(self) -> Optional[StoreStatsSnapshot]:
         """Snapshot of the backing store's hit/miss/evict/corrupt
@@ -328,7 +325,7 @@ class ExperimentService:
 
     def close(self) -> None:
         """Shut down the shared worker pool (jobs already submitted
-        finish first)."""
+        finish first; a later job starts a new pool)."""
         self.backend.close()
 
     def __enter__(self) -> "ExperimentService":
@@ -340,17 +337,38 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Job resolution
     # ------------------------------------------------------------------
+    def _accept(self, experiment: Union["ExperimentSpec",
+                                        Iterable["RunSpec"]],
+                background: bool) -> JobHandle:
+        from repro.experiments.spec import ExperimentSpec
+
+        if not isinstance(experiment, ExperimentSpec):
+            experiment = ExperimentSpec("adhoc", tuple(experiment))
+        unique: dict[str, "RunSpec"] = {}
+        for spec in experiment.runs:
+            unique.setdefault(spec.spec_hash(), spec)
+        job = JobHandle(experiment, expected=len(unique))
+        with self._phase(job, "submit"):
+            self._count(jobs=1, requested=len(experiment.runs),
+                        deduplicated=len(experiment.runs) - len(unique))
+            if background:
+                threading.Thread(target=self._run_job, args=(job, unique),
+                                 name=f"repro-{job.job_id}",
+                                 daemon=True).start()
+        if not background:
+            self._run_job(job, unique)
+        return job
+
     def _run_job(self, job: JobHandle,
                  unique: dict[str, "RunSpec"]) -> None:
-        pending = dict(unique)
         try:
-            self._resolve_job(job, pending)
+            self._resolve_job(job, unique)
         except Exception as exc:          # pragma: no cover - defensive
             # never leave a job hanging: fail whatever has not resolved
             with job._lock:
                 resolved = set(job._results)
                 failed = {s.spec_hash() for s, _ in job._failures}
-            for key, spec in pending.items():
+            for key, spec in unique.items():
                 if key not in resolved and key not in failed:
                     job._deliver_failure(spec, exc)
 
@@ -363,32 +381,52 @@ class ExperimentService:
             yield
         job._note_phase(name, sp.duration)
 
+    def _remember(self, key: str, summary: "RunSummary") -> None:
+        with self._memo_lock:
+            self._memo[key] = summary
+
+    def _store_get(self, spec: "RunSpec") -> Optional["RunSummary"]:
+        """Store lookup; in replay mode an exact execution-driven entry
+        satisfies either key, while a replay entry only ever satisfies
+        replay mode."""
+        summary = self.store.get(spec)
+        if summary is None and self.replay:
+            summary = self.store.get(spec, timing="replay")
+        return summary
+
     def _resolve_job(self, job: JobHandle,
                      unique: dict[str, "RunSpec"]) -> None:
-        specs = list(unique.values())
-
         # 1. in-process memo
         with self._phase(job, "memo"):
-            hits, remaining = self.memo.resolve(specs)
+            with self._memo_lock:
+                hits = {key: self._memo[key] for key in unique
+                        if key in self._memo}
             self._count(memo_hits=len(hits))
             for key, summary in hits.items():
                 job._deliver(key, summary)
+        remaining = [key for key in unique if key not in hits]
 
-        # 2. content-addressed store (backfills the memo)
-        if self.store_layer is not None and remaining:
+        # 2. content-addressed store (backfills the memo); every lookup
+        # finishes before delivery starts, so the lookups' file I/O
+        # does not hand the GIL back and forth with a streaming client
+        if self.store is not None and remaining:
             with self._phase(job, "store"):
-                hits, remaining = self.store_layer.resolve(remaining)
-                self._count(store_hits=len(hits))
-                for key, summary in hits.items():
-                    self.memo.store(unique[key], summary)
+                found = {}
+                for key in remaining:
+                    summary = self._store_get(unique[key])
+                    if summary is not None:
+                        found[key] = summary
+                self._count(store_hits=len(found))
+                for key, summary in found.items():
+                    self._remember(key, summary)
                     job._deliver(key, summary)
+            remaining = [key for key in remaining if key not in found]
 
         if not remaining:
             return
 
         # 3. cross-request in-flight dedup
-        owned, joined = self.inflight.claim(
-            spec.spec_hash() for spec in remaining)
+        owned, joined = self.inflight.claim(remaining)
         self._count(inflight_joined=len(joined))
         for key, future in {**owned, **joined}.items():
             future.add_done_callback(
@@ -398,37 +436,23 @@ class ExperimentService:
         # resolved (and retired) the run between our memo miss and the
         # claim -- serve it rather than re-executing
         for key in list(owned):
-            summary = self.memo.get(key)
+            with self._memo_lock:
+                summary = self._memo.get(key)
             if summary is not None:
                 self.inflight.resolve(key, summary)
                 del owned[key]
 
-        # 4. execute what this job owns
+        # 4. plan and execute what this job owns
         if owned:
-            self._execute_owned(job, [unique[key] for key in owned])
-
-    def _execute_owned(self, job: JobHandle,
-                       specs: Sequence["RunSpec"]) -> None:
-        with self._phase(job, "plan"):
-            groups = self.planner.plan(specs)
-        with self._phase(job, "execute"):
-            if self.backend.parallel:
-                futures = {self.backend.submit_group(group): group
-                           for group in groups}
-                from concurrent.futures import as_completed
-                for future in as_completed(futures):
-                    self._settle_group(job, futures[future], future)
-            else:
-                # inline execution: each group resolves -- and streams
-                # to every waiting job -- before the next one starts
-                for group in groups:
-                    self._settle_group(job, group,
-                                       self.backend.submit_group(group))
+            with self._phase(job, "plan"):
+                groups = plan([unique[key] for key in owned], self.replay)
+            with self._phase(job, "execute"):
+                self.backend.run(groups, partial(self._settle_group, job))
 
     def _settle_group(self, job: JobHandle, group: Sequence["RunSpec"],
-                      future: Future) -> None:
+                      result: Callable[[], list["RunSummary"]]) -> None:
         try:
-            summaries = future.result()
+            summaries = result()
         except Exception as exc:
             self._count(failed=len(group))
             for spec in group:
@@ -436,12 +460,13 @@ class ExperimentService:
             return
         with self._phase(job, "backfill"):
             for spec, summary in zip(group, summaries):
-                self.memo.store(spec, summary)
-                if self.store_layer is not None:
-                    self.store_layer.store(spec, summary)
+                key = spec.spec_hash()
+                self._remember(key, summary)
+                if self.store is not None:
+                    self.store.put(spec, summary)
                 # resolving the future delivers to this job and every
                 # joiner
-                self.inflight.resolve(spec.spec_hash(), summary)
+                self.inflight.resolve(key, summary)
         self._count(executed=1,
                     captured=1 if len(group) > 1 else 0,
                     replayed=len(group) - 1)
@@ -461,22 +486,29 @@ class ExperimentService:
                         getattr(self.stats, name) + delta)
 
 
-def service_from_env(
-        store_dir: Optional[Union[str, os.PathLike]] = None
-) -> ExperimentService:
-    """An :class:`ExperimentService` configured from the documented
-    environment knobs (the same family :func:`runner_from_env` reads):
+def options_from_env(
+        store_dir: Optional[Union[str, os.PathLike]] = None) -> dict:
+    """Constructor options for a :class:`~repro.experiments.Runner` or
+    :class:`ExperimentService` from the documented environment knobs:
     ``REPRO_CACHE_DIR`` locates the store (overridden by
     ``store_dir``), ``REPRO_STORE_MAX_ENTRIES`` /
     ``REPRO_STORE_MAX_BYTES`` bound it, ``REPRO_MAX_WORKERS`` sizes
-    the shared pool, ``REPRO_SERIAL=1`` forces inline execution, and
+    the worker pool, ``REPRO_SERIAL=1`` forces inline execution, and
     ``REPRO_REPLAY=1`` enables the capture-once/replay-rest fast
     path."""
     root = store_dir or os.environ.get("REPRO_CACHE_DIR") or None
     max_workers = os.environ.get("REPRO_MAX_WORKERS")
-    return ExperimentService(
+    return dict(
         store=store_from_env(root) if root else None,
         max_workers=int(max_workers) if max_workers else None,
         parallel=os.environ.get("REPRO_SERIAL", "") not in ("1", "true"),
         replay=os.environ.get("REPRO_REPLAY", "") in ("1", "true"),
     )
+
+
+def service_from_env(
+        store_dir: Optional[Union[str, os.PathLike]] = None
+) -> ExperimentService:
+    """An :class:`ExperimentService` configured by
+    :func:`options_from_env`."""
+    return ExperimentService(**options_from_env(store_dir))

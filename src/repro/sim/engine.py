@@ -1,6 +1,6 @@
 """Discrete-event simulation engine.
 
-The machine models in :mod:`repro.core` and :mod:`repro.smp` are built
+The machine models in :mod:`repro.core` (MISP and SMP alike) are built
 on this engine.  It is a classic calendar queue: callbacks are
 scheduled at absolute cycle times and executed in time order, with a
 monotonically increasing sequence number breaking ties so execution is

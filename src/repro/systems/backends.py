@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.mp import build_machine
+from repro.core.mp import build_machine, build_smp_machine
 from repro.core.notation import (
     FIGURE7_SEQUENCERS, config_name, ideal_config_for_load, parse_config,
     total_sequencers,
@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.mem.hierarchy import (
     private_l2_per_sequencer, shared_l2_per_processor,
 )
-from repro.smp.machine import build_smp_machine
 from repro.systems.base import StagedRun, SystemBackend, register_system
 from repro.workloads.multiprog import (
     MULTIPROG_HORIZON, MULTIPROG_SLICE, background_body,

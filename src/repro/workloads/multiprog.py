@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.core.machine import Machine
-from repro.core.mp import (
+from repro.core.notation import (
     FIGURE7_SEQUENCERS, config_name, ideal_config_for_load,
 )
 from repro.exec.ops import Compute, Op

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.machine import Machine
-from repro.core.mp import config_name
+from repro.core.notation import config_name
 from repro.exec.context import ExecContext
 from repro.exec.ops import Op, SignalShred, SyscallOp
 from repro.kernel.process import OSThread, Process

@@ -452,4 +452,26 @@ def test_report_smoke_with_observability(tmp_path, capsys):
     snap = json.loads(metrics.read_text())
     assert snap["run"].startswith("report-")
     assert "repro_run_cycles" in snap["metrics"]
-    assert "repro_runner_events_total" in snap["metrics"]
+    assert "repro_service_events_total" in snap["metrics"]
+
+
+def test_streamed_smoke_report_executes_each_spec_once(tmp_path, capsys):
+    """``--stream`` serves Figure 4 through the report's one Runner:
+    one memo, one stats line, and every unique spec simulated once."""
+    from repro.analysis.figure4 import figure4_experiment
+    from repro.analysis.report import main
+
+    metrics = tmp_path / "metrics.json"
+    rc = main(["--smoke", "--serial", "--stream", "--workloads", "dense_mvm",
+               "--scale", "0.02", "--cache-dir", str(tmp_path / "store"),
+               "--metrics-out", str(metrics)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("runs: ") == 1 and "[service:" not in out
+    snap = json.loads(metrics.read_text())
+    events = {sample["labels"]["event"]: sample["value"]
+              for sample in
+              snap["metrics"]["repro_service_events_total"]["samples"]
+              if sample["labels"]["service"] == snap["run"]}
+    unique = figure4_experiment(["dense_mvm"], scale=0.02).unique_runs()
+    assert events["executed"] + events["replayed"] == len(unique)

@@ -6,11 +6,11 @@ import pytest
 
 from repro.analysis.figure_mem import FIGURE_MEM_COSTS, run_figure_mem
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    Runner, RunSpec, execute, execute_captured, execute_replay_group,
-    replay_class,
-)
+from repro.experiments import Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
+from repro.service import (
+    execute, execute_captured, execute_replay_group, replay_class,
+)
 from repro.sim.captrace import (
     REPLAY_SAFE_FIELDS, ReplayMachine, replayable_changes,
 )
@@ -177,13 +177,13 @@ class TestRunnerIntegration:
         exec_runner = Runner(cache_dir=tmp_path, parallel=False)
         out = exec_runner.run_many(specs)
         assert all(s.timing == "execute" for s in out)
-        assert exec_runner.stats.cache_hits == 1
+        assert exec_runner.stats.store_hits == 1
         assert exec_runner.stats.executed == 2
         # once execution-driven entries exist, a replay-mode runner
         # prefers them (they are exact)
         third = Runner(cache_dir=tmp_path, parallel=False, replay=True)
         out3 = third.run_many(specs)
-        assert third.stats.cache_hits == 3
+        assert third.stats.store_hits == 3
         assert third.stats.executed == 0
         assert all(s.timing == "execute" for s in out3)
 

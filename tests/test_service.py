@@ -1,8 +1,9 @@
-"""Tests for the layered experiment service: the content-addressed
+"""Tests for the experiment service: the content-addressed
 ResultStore (metrics, eviction, quarantine, temp-file reclamation),
-the resolver chain, replay planning, the cross-request InflightTable,
-concurrency invariants (shared-store races, in-flight dedup), and the
-ExperimentService streaming job API."""
+the memo -> store -> execute pipeline behind Runner, replay planning,
+the cross-request InflightTable, the Runner's worker-pool and thread
+contract, concurrency invariants (shared-store races, in-flight
+dedup), and the ExperimentService streaming job API."""
 
 import json
 import os
@@ -11,17 +12,16 @@ import time
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.errors import ExperimentExecutionError, SimulationError
-from repro.experiments import (
-    CACHE_VERSION, ExperimentSpec, ResultCache, Runner, RunSpec,
-    RunSummary,
-)
+from repro.experiments import ExperimentSpec, Runner, RunSpec, RunSummary
 from repro.params import DEFAULT_PARAMS
 from repro.service import (
-    STORE_VERSION, DirectPlanner, ExperimentService, InflightTable,
-    MemoLayer, ReplayPlanner, ResolverChain, ResultStore, StoreLayer,
+    STORE_VERSION, ExperimentService, InflightTable, ResultStore, plan,
     run_group,
 )
+from repro.systems import SYSTEM_REGISTRY
+from repro.systems.backends import MispBackend
 
 #: a fast workload for end-to-end service tests
 FAST = dict(workload="dense_mvm", scale=0.05)
@@ -153,12 +153,9 @@ class TestResultStore:
         assert report.tmp_reclaimed == 1
         assert store.get(good) == summary_for(good)    # survivors intact
 
-    def test_result_cache_alias_is_the_store(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert isinstance(cache, ResultStore)
-        assert CACHE_VERSION == STORE_VERSION
+    def test_entries_survive_a_new_store_instance(self, tmp_path):
         spec = spec_n(7)
-        cache.put(spec, summary_for(spec))
+        ResultStore(tmp_path).put(spec, summary_for(spec))
         assert ResultStore(tmp_path).get(spec) == summary_for(spec)
 
 
@@ -168,7 +165,8 @@ class TestResultStore:
 class TestPlanning:
     def test_direct_planner_singletons(self):
         specs = [spec_n(i) for i in range(3)]
-        assert DirectPlanner().plan(specs) == [[s] for s in specs]
+        assert plan(specs) == [[s] for s in specs]
+        assert plan(specs, replay=True) == [[s] for s in specs]
 
     def test_replay_planner_groups_timing_only_diffs(self):
         mems = [RunSpec(system="misp", config="1x4",
@@ -181,11 +179,12 @@ class TestPlanning:
             **FAST)
         uncapturable = RunSpec(workload="RayTracer", system="multiprog",
                                scale=0.05)
-        plan = ReplayPlanner().plan(mems + [control, uncapturable])
-        sizes = sorted(len(group) for group in plan)
+        groups = plan(mems + [control, uncapturable], replay=True)
+        sizes = sorted(len(group) for group in groups)
         assert sizes == [1, 1, 3]
-        (big,) = [g for g in plan if len(g) == 3]
-        assert big == mems
+        (big,) = [g for g in groups if len(g) == 3]
+        assert big == mems                             # request order
+        assert plan(mems, replay=False) == [[s] for s in mems]
 
 
 class TestInflightTable:
@@ -212,48 +211,95 @@ class TestInflightTable:
 
 
 # ----------------------------------------------------------------------
-# Resolver chain
+# Resolution pipeline behind Runner
 # ----------------------------------------------------------------------
-class StubExecutor:
-    """Terminal layer that manufactures summaries and records calls."""
-
-    name = "executor"
-
-    def __init__(self):
-        self.calls = []
-        self.failures = []
-
-    def resolve(self, specs):
-        self.calls.append(list(specs))
-        return {s.spec_hash(): summary_for(s) for s in specs}, []
-
-    def store(self, spec, summary):
-        pass
-
-
-class TestResolverChain:
+class TestResolutionPipeline:
     def test_layer_order_and_backfill(self, tmp_path):
+        """memo -> store -> execute, with results backfilled upward."""
         store = ResultStore(tmp_path)
-        executor = StubExecutor()
-        chain = ResolverChain([MemoLayer(), StoreLayer(store), executor])
-        specs = [spec_n(i) for i in range(3)]
-
-        first = chain.resolve(specs)
-        assert first.hits_by_layer == {"memo": 0, "store": 0,
-                                       "executor": 3}
+        specs = [RunSpec(system=system, config=config, **FAST)
+                 for system, config in (("1p", "smp1"), ("misp", "1x4"),
+                                        ("smp", "smp4"))]
+        runner = Runner(store=store, parallel=False)
+        first = runner.run_many(specs)
+        assert runner.stats.executed == 3
+        assert runner.stats.memo_hits == runner.stats.store_hits == 0
         assert store.stats.puts == 3                   # backfilled down
-        assert len(first.summaries) == 3
 
-        second = chain.resolve(specs)                  # memo short-circuit
-        assert second.hits_by_layer == {"memo": 3, "store": 0,
-                                        "executor": 0}
-        assert executor.calls[-1] == []
+        assert runner.run_many(specs) == first         # memo short-circuit
+        assert runner.stats.memo_hits == 3
+        assert runner.stats.executed == 3
 
-        fresh = ResolverChain([MemoLayer(), StoreLayer(store),
-                               StubExecutor()])
-        third = fresh.resolve(specs)                   # disk short-circuit
-        assert third.hits_by_layer == {"memo": 0, "store": 3,
-                                       "executor": 0}
+        fresh = Runner(store=ResultStore(tmp_path), parallel=False)
+        assert fresh.run_many(specs) == first          # disk short-circuit
+        assert fresh.stats.store_hits == 3
+        assert fresh.stats.executed == fresh.stats.memo_hits == 0
+
+
+class RecordingPool(executor_module.ProcessPoolExecutor):
+    """A real process pool that records its construction and shutdown."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.closed = False
+        RecordingPool.made.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        self.closed = True
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made = []
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                        RecordingPool)
+    return RecordingPool.made
+
+
+class TestRunnerPool:
+    def test_single_group_batch_spawns_no_pool(self, recording_pool):
+        runner = Runner(parallel=True, max_workers=2)
+        runner.run(RunSpec(system="misp", config="1x4", **FAST))
+        mems = [RunSpec(system="misp", config="1x4",
+                        params=DEFAULT_PARAMS.with_changes(mem_cost=mc),
+                        **FAST)
+                for mc in (15, 60)]
+        Runner(parallel=True, max_workers=2, replay=True).run_many(mems)
+        assert recording_pool == []
+
+    def test_no_pool_alive_after_run_many(self, recording_pool):
+        specs = [RunSpec(system="1p", **FAST),
+                 RunSpec(system="misp", config="1x4", **FAST)]
+        runner = Runner(parallel=True, max_workers=2)
+        runner.run_many(specs)
+        assert len(recording_pool) == 1 and recording_pool[0].closed
+        bads = [RunSpec(system="misp", config="1x4", limit=10, **FAST),
+                RunSpec(system="smp", config="smp4", limit=10, **FAST)]
+        with pytest.raises(ExperimentExecutionError):
+            runner.run_many(bads)
+        assert len(recording_pool) == 2
+        assert all(pool.closed for pool in recording_pool)
+
+    def test_run_many_executes_on_the_calling_thread(self):
+        threads = []
+
+        class ThreadRecordingBackend(MispBackend):
+            name = "toy_thread"
+            default_config = "1x2"
+
+            def build_machine(self, config, params):
+                threads.append(threading.get_ident())
+                return super().build_machine(config, params)
+
+        with SYSTEM_REGISTRY.temporary(ThreadRecordingBackend()):
+            specs = [RunSpec("dense_mvm", "toy_thread", "1x2", scale=0.05),
+                     RunSpec("dense_mvm", "toy_thread", "1x4", scale=0.05)]
+            Runner(parallel=False).run_many(specs)
+            Runner(parallel=True, max_workers=2).run(specs[0])
+        assert threads == [threading.get_ident()] * 3
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +324,7 @@ class TestFailureReporting:
         retry = Runner(cache_dir=tmp_path, parallel=False)
         with pytest.raises(ExperimentExecutionError):
             retry.run_many([good, bad1, bad2])
-        assert retry.stats.cache_hits == 1
+        assert retry.stats.store_hits == 1
         assert retry.stats.executed == 0
         assert retry.stats.failed == 2
 

@@ -9,8 +9,9 @@ import pytest
 
 from repro.analysis import run_figure_pipeline
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments import ExperimentSpec, Runner, RunSpec, replay_class
+from repro.experiments import ExperimentSpec, Runner, RunSpec
 from repro.params import DEFAULT_PARAMS
+from repro.service import replay_class
 from repro.systems import Session, get_system
 from repro.timing import (
     TIMING_REGISTRY, FixedTiming, ScoreboardTiming, TimingModel,
@@ -260,7 +261,7 @@ class TestCustomTimingEndToEnd:
             again = Runner(parallel=False, cache_dir=tmp_path)
             cached = again.run_experiment(exp)[toy_spec]
             assert again.stats.executed == 0
-            assert again.stats.cache_hits == 1
+            assert again.stats.store_hits == 1
             assert cached.cycles == toy.cycles
             assert cached.timing_model == "toy_free_signal"
 
