@@ -132,10 +132,7 @@ class Runner:
 
     def run_experiment(self, experiment: ExperimentSpec) -> ExperimentResult:
         """Run every member of an experiment grid."""
-        try:
-            return self.service.run_experiment(experiment)
-        finally:
-            self.service.close()
+        return self.service.run_experiment(experiment)
 
 
 # ----------------------------------------------------------------------

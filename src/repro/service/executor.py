@@ -87,15 +87,19 @@ def run_group(group: Sequence["RunSpec"]) -> list["RunSummary"]:
 class ExecutionBackend:
     """Runs planned groups: inline, or in a process pool.
 
-    A batch uses the pool only when the backend is parallel and the
-    batch has more than one group, so a single-spec request never
-    spawns workers.  The pool is sized to the batch (at most
-    ``max_workers``; a larger batch replaces it with a larger one) and
-    persists across batches -- an :class:`ExperimentService`'s
-    concurrent jobs draw from one set of workers -- until
-    :meth:`close` releases it.  Inline groups run on the calling
+    With ``parallel=False`` every group runs inline on the calling
     thread (deterministic, picklability-free, and registry-local
-    backends/timing models stay visible).
+    backends/timing models stay visible).  Otherwise:
+
+    * a *synchronous* batch -- its caller only waits for it, as a
+      :class:`~repro.experiments.Runner` call does -- runs a lone group
+      inline, so a single-spec request never spawns workers, and a
+      larger batch in a pool of its own, sized to the batch and shut
+      down before :meth:`run` returns, so no worker idles between
+      calls;
+    * a background job's groups go to one persistent pool of
+      ``max_workers`` shared by every job, until :meth:`close`
+      releases it.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -105,38 +109,45 @@ class ExecutionBackend:
         self.parallel = parallel and self.max_workers > 1
         self.run_group = run_group_fn or run_group
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
         self._lock = threading.Lock()
 
     def run(self, groups: Sequence[Sequence["RunSpec"]],
-            settle: Callable[[Sequence["RunSpec"], Callable], None]) -> None:
-        """Run every group; ``settle(group, result)`` is called as each
-        finishes, where ``result()`` returns the group's summaries or
-        raises its failure."""
-        if not self.parallel or len(groups) < 2:
+            settle: Callable[[Sequence["RunSpec"], Callable], None],
+            sync: bool = False) -> None:
+        """Run every group; ``settle(group, result)`` is called on this
+        thread as each finishes, where ``result()`` returns the group's
+        summaries or raises its failure."""
+        if not self.parallel or (sync and len(groups) < 2):
             for group in groups:
                 settle(group, partial(self.run_group, group))
-            return
-        futures = self._submit(groups)
+        elif sync:
+            workers = min(self.max_workers, len(groups))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                self._settle_all(self._submit(pool, groups), settle)
+        else:
+            with self._lock:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.max_workers)
+                futures = self._submit(self._pool, groups)
+            self._settle_all(futures, settle)
+
+    def _submit(self, pool: ProcessPoolExecutor,
+                groups: Sequence[Sequence["RunSpec"]]
+                ) -> dict[Future, Sequence["RunSpec"]]:
+        return {pool.submit(self.run_group, group): group
+                for group in groups}
+
+    @staticmethod
+    def _settle_all(futures: dict[Future, Sequence["RunSpec"]],
+                    settle: Callable) -> None:
         for future in as_completed(futures):
             settle(futures[future], future.result)
 
-    def _submit(self, groups: Sequence[Sequence["RunSpec"]]
-                ) -> dict[Future, Sequence["RunSpec"]]:
-        workers = min(self.max_workers, len(groups))
-        with self._lock:
-            if self._pool_size < workers:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)   # its groups finish
-                self._pool = ProcessPoolExecutor(max_workers=workers)
-                self._pool_size = workers
-            return {self._pool.submit(self.run_group, group): group
-                    for group in groups}
-
     def close(self) -> None:
-        """Shut the pool down (running groups finish first); the next
-        parallel batch starts a new one."""
+        """Shut the shared pool down (running groups finish first); the
+        next background job starts a new one."""
         with self._lock:
-            pool, self._pool, self._pool_size = self._pool, None, 0
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)

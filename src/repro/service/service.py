@@ -130,6 +130,7 @@ class JobHandle:
         self._delivered = 0
         self._results: dict[str, "RunSummary"] = {}
         self._failures: list[tuple["RunSpec", BaseException]] = []
+        self._failed: set[str] = set()
         #: wall seconds per resolution phase (memo/store/plan/...)
         self._phase_seconds: dict[str, float] = {}
         self._done = threading.Event()
@@ -141,10 +142,10 @@ class JobHandle:
             self._phase_seconds[name] = (
                 self._phase_seconds.get(name, 0.0) + seconds)
 
-    # -- delivery (service side) ---------------------------------------
+    # -- delivery (service side; the first delivery per key wins) -----
     def _deliver(self, key: str, summary: "RunSummary") -> None:
         with self._lock:
-            if key in self._results:
+            if key in self._results or key in self._failed:
                 return
             self._results[key] = summary
             self._delivered += 1
@@ -153,9 +154,12 @@ class JobHandle:
         if last:
             self._done.set()
 
-    def _deliver_failure(self, spec: "RunSpec",
+    def _deliver_failure(self, key: str, spec: "RunSpec",
                          exc: BaseException) -> None:
         with self._lock:
+            if key in self._results or key in self._failed:
+                return
+            self._failed.add(key)
             self._failures.append((spec, exc))
             self._delivered += 1
             last = self._delivered == self.expected
@@ -352,25 +356,24 @@ class ExperimentService:
             self._count(jobs=1, requested=len(experiment.runs),
                         deduplicated=len(experiment.runs) - len(unique))
             if background:
-                threading.Thread(target=self._run_job, args=(job, unique),
+                threading.Thread(target=self._run_job,
+                                 args=(job, unique, False),
                                  name=f"repro-{job.job_id}",
                                  daemon=True).start()
         if not background:
-            self._run_job(job, unique)
+            self._run_job(job, unique, True)
         return job
 
-    def _run_job(self, job: JobHandle,
-                 unique: dict[str, "RunSpec"]) -> None:
+    def _run_job(self, job: JobHandle, unique: dict[str, "RunSpec"],
+                 sync: bool) -> None:
         try:
-            self._resolve_job(job, unique)
-        except Exception as exc:          # pragma: no cover - defensive
+            self._resolve_job(job, unique, sync)
+        except BaseException as exc:
             # never leave a job hanging: fail whatever has not resolved
-            with job._lock:
-                resolved = set(job._results)
-                failed = {s.spec_hash() for s, _ in job._failures}
             for key, spec in unique.items():
-                if key not in resolved and key not in failed:
-                    job._deliver_failure(spec, exc)
+                job._deliver_failure(key, spec, exc)
+            if not isinstance(exc, Exception):
+                raise           # KeyboardInterrupt reaches the caller
 
     @contextlib.contextmanager
     def _phase(self, job: JobHandle, name: str) -> Iterator[None]:
@@ -394,8 +397,8 @@ class ExperimentService:
             summary = self.store.get(spec, timing="replay")
         return summary
 
-    def _resolve_job(self, job: JobHandle,
-                     unique: dict[str, "RunSpec"]) -> None:
+    def _resolve_job(self, job: JobHandle, unique: dict[str, "RunSpec"],
+                     sync: bool) -> None:
         # 1. in-process memo
         with self._phase(job, "memo"):
             with self._memo_lock:
@@ -428,26 +431,41 @@ class ExperimentService:
         # 3. cross-request in-flight dedup
         owned, joined = self.inflight.claim(remaining)
         self._count(inflight_joined=len(joined))
-        for key, future in {**owned, **joined}.items():
-            future.add_done_callback(
-                partial(self._on_future, job, unique[key]))
+        try:
+            for key, future in {**owned, **joined}.items():
+                future.add_done_callback(
+                    partial(self._on_future, job, key, unique[key]))
 
-        # double-check the memo for owned keys: another job may have
-        # resolved (and retired) the run between our memo miss and the
-        # claim -- serve it rather than re-executing
-        for key in list(owned):
-            with self._memo_lock:
-                summary = self._memo.get(key)
-            if summary is not None:
-                self.inflight.resolve(key, summary)
-                del owned[key]
+            # double-check the memo for owned keys: another job may
+            # have resolved (and retired) the run between our memo miss
+            # and the claim -- serve it rather than re-executing
+            for key in list(owned):
+                with self._memo_lock:
+                    summary = self._memo.get(key)
+                if summary is not None:
+                    self.inflight.resolve(key, summary)
+                    del owned[key]
 
-        # 4. plan and execute what this job owns
-        if owned:
-            with self._phase(job, "plan"):
-                groups = plan([unique[key] for key in owned], self.replay)
-            with self._phase(job, "execute"):
-                self.backend.run(groups, partial(self._settle_group, job))
+            # 4. plan and execute what this job owns
+            if owned:
+                with self._phase(job, "plan"):
+                    groups = plan([unique[key] for key in owned],
+                                  self.replay)
+                with self._phase(job, "execute"):
+                    self.backend.run(groups,
+                                     partial(self._settle_group, job),
+                                     sync=sync)
+        except BaseException as exc:
+            # an aborted resolution (a KeyboardInterrupt, a store write
+            # error) retires every claim it still holds -- only this
+            # thread resolves them -- or later requests for those specs
+            # would join futures nobody resolves
+            abandoned = [key for key, future in owned.items()
+                         if not future.done()]
+            self._count(failed=len(abandoned))
+            for key in abandoned:
+                self.inflight.fail(key, exc)
+            raise
 
     def _settle_group(self, job: JobHandle, group: Sequence["RunSpec"],
                       result: Callable[[], list["RunSummary"]]) -> None:
@@ -458,6 +476,9 @@ class ExperimentService:
             for spec in group:
                 self.inflight.fail(spec.spec_hash(), exc)
             return
+        self._count(executed=1,
+                    captured=1 if len(group) > 1 else 0,
+                    replayed=len(group) - 1)
         with self._phase(job, "backfill"):
             for spec, summary in zip(group, summaries):
                 key = spec.spec_hash()
@@ -467,17 +488,14 @@ class ExperimentService:
                 # resolving the future delivers to this job and every
                 # joiner
                 self.inflight.resolve(key, summary)
-        self._count(executed=1,
-                    captured=1 if len(group) > 1 else 0,
-                    replayed=len(group) - 1)
 
-    def _on_future(self, job: JobHandle, spec: "RunSpec",
+    def _on_future(self, job: JobHandle, key: str, spec: "RunSpec",
                    future: Future) -> None:
         exc = future.exception()
         if exc is not None:
-            job._deliver_failure(spec, exc)
+            job._deliver_failure(key, spec, exc)
         else:
-            job._deliver(spec.spec_hash(), future.result())
+            job._deliver(key, future.result())
 
     def _count(self, **deltas: int) -> None:
         with self._stats_lock:

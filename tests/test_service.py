@@ -302,6 +302,81 @@ class TestRunnerPool:
         assert threads == [threading.get_ident()] * 3
 
 
+    def test_background_jobs_share_one_max_workers_pool(
+            self, recording_pool):
+        """submit() jobs keep the persistent pool even for one group:
+        concurrent clients run in worker processes, not inline."""
+        spec = RunSpec(system="misp", config="1x4", **FAST)
+        service = ExperimentService(parallel=True, max_workers=2)
+        try:
+            assert service.submit([spec]).result(timeout=120)[spec].cycles
+            assert service.submit(
+                [RunSpec(system="1p", **FAST)]).result(timeout=120)
+            assert len(recording_pool) == 1
+            assert recording_pool[0]._max_workers == 2
+            assert not recording_pool[0].closed
+        finally:
+            service.close()
+        assert recording_pool[0].closed
+
+
+# ----------------------------------------------------------------------
+# Aborted resolution releases its in-flight claims
+# ----------------------------------------------------------------------
+class TestAbortedResolution:
+    def test_interrupted_runner_call_can_be_retried(self):
+        """A KeyboardInterrupt mid-simulation reaches the caller and
+        leaves no claimed future behind, so the retry executes the
+        spec instead of joining a run nobody finishes."""
+        specs = [RunSpec(system="1p", **FAST),
+                 RunSpec(system="misp", config="1x4", **FAST)]
+        runner = Runner(parallel=False)
+        interrupts = []
+
+        def interrupt_once(group):
+            if not interrupts:
+                interrupts.append(group)
+                raise KeyboardInterrupt
+            return run_group(group)
+
+        runner.service.backend.run_group = interrupt_once
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_many(specs)
+        assert len(runner.service.inflight) == 0
+        assert runner.stats.failed == 2
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(runner.run_many(specs)), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert len(done) == 1 and all(s.cycles > 0 for s in done[0])
+        assert runner.stats.executed == 2
+
+    def test_store_write_error_fails_the_unfinished_claims(self, tmp_path):
+        class FailingStore(ResultStore):
+            failures = 1
+
+            def put(self, spec, summary):
+                if self.failures:
+                    self.failures -= 1
+                    raise OSError("disk full")
+                return super().put(spec, summary)
+
+        specs = [RunSpec(system="1p", **FAST),
+                 RunSpec(system="misp", config="1x4", **FAST)]
+        service = ExperimentService(store=FailingStore(tmp_path),
+                                    parallel=False)
+        with pytest.raises(ExperimentExecutionError) as excinfo:
+            service.run_experiment(specs)
+        assert len(excinfo.value.failures) == 2
+        assert len(service.inflight) == 0
+        result = service.run_experiment(specs, timeout=120)
+        assert all(result[spec].cycles > 0 for spec in specs)
+        assert service.stats.memo_hits == 1    # memoized before the put
+        assert service.stats.executed == 2     # + the run the error cut off
+        assert service.store.stats.puts == 1
+
+
 # ----------------------------------------------------------------------
 # Failure aggregation (every failed spec named, batch survivors kept)
 # ----------------------------------------------------------------------
